@@ -100,8 +100,8 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
     checker.equal(
         "rx.seq_conservation",
         mac_rx._next_seq,
-        mac_rx.frames_accepted + simulator._rx_dropped,
-        "next_seq == accepted + tail_dropped",
+        mac_rx.frames_accepted + simulator._rx_seq_drops(),
+        "next_seq == accepted + numbered_drops",
     )
     # Accepted frames (holes included — FCS drops happen after the MAC
     # consumed the sequence) not yet committed are in flight.
@@ -112,14 +112,14 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
         f"accepted frames behind deliveries (in_flight={in_flight})",
     )
     # Faulted accounting identity (also holds fault-free with holes=0):
-    # every consumed sequence number is delivered, a hole, tail-dropped,
-    # or still in flight.
+    # every consumed sequence number is delivered, a hole, dropped
+    # after numbering (standalone tail drop), or still in flight.
     checker.equal(
         "rx.fault_identity",
         mac_rx._next_seq,
         simulator._rx_done_frames
         + simulator._rx_hole_frames
-        + simulator._rx_dropped
+        + simulator._rx_seq_drops()
         + in_flight,
         "injected == delivered + holes + drops + in_flight",
     )

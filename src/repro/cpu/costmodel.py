@@ -13,8 +13,18 @@ simulator's IPC breakdown is directly comparable to the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Tuple
+
+
+def _check_counts(instructions: float, loads: float, stores: float) -> None:
+    if instructions < 0 or loads < 0 or stores < 0:
+        raise ValueError("operation counts must be non-negative")
+    if loads + stores > instructions and instructions > 0:
+        raise ValueError(
+            f"memory operations ({loads + stores}) exceed "
+            f"instruction count ({instructions})"
+        )
 
 
 @dataclass(frozen=True)
@@ -29,13 +39,7 @@ class OpProfile:
     #                                        cause load-to-use dependences"
 
     def __post_init__(self) -> None:
-        if self.instructions < 0 or self.loads < 0 or self.stores < 0:
-            raise ValueError("operation counts must be non-negative")
-        if self.loads + self.stores > self.instructions and self.instructions > 0:
-            raise ValueError(
-                f"memory operations ({self.loads + self.stores}) exceed "
-                f"instruction count ({self.instructions})"
-            )
+        _check_counts(self.instructions, self.loads, self.stores)
 
     @property
     def accesses(self) -> float:
@@ -43,11 +47,12 @@ class OpProfile:
 
     def scaled(self, factor: float) -> "OpProfile":
         """Uniformly scale the counts (e.g., per-frame -> per-batch)."""
-        return replace(
-            self,
-            instructions=self.instructions * factor,
-            loads=self.loads * factor,
-            stores=self.stores * factor,
+        return OpProfile(
+            self.instructions * factor,
+            self.loads * factor,
+            self.stores * factor,
+            self.taken_branch_fraction,
+            self.load_use_fraction,
         )
 
     def plus(self, other: "OpProfile") -> "OpProfile":
@@ -157,23 +162,48 @@ class CoreCostModel:
     # it as remote_fraction x (remote_latency - 1).
     load_stall_cycles: float = 1.0
 
-    def cost(self, profile: OpProfile, conflict_wait_per_access: float) -> HandlerCost:
+    def categories(
+        self,
+        instructions: float,
+        loads: float,
+        stores: float,
+        taken_branch_fraction: float,
+        load_use_fraction: float,
+        conflict_wait_per_access: float,
+    ) -> Tuple[float, float, float, float, float]:
+        """The Table 3 charging rules on plain counts.
+
+        Returns ``(imiss, load, conflict, pipeline, total)`` cycles; the
+        execution cycles equal ``instructions``.  This is the only copy
+        of the formula: :meth:`cost` and the throughput simulator's
+        handler charges both call it, so a profile costs the same
+        (bit for bit) whichever way it is charged.
+        """
         if conflict_wait_per_access < 0:
             raise ValueError("conflict wait must be non-negative")
-        execution = profile.instructions
-        imiss = profile.instructions * self.imiss_rate * self.imiss_penalty_cycles
-        load = profile.loads * self.load_stall_cycles
+        _check_counts(instructions, loads, stores)
+        imiss = instructions * self.imiss_rate * self.imiss_penalty_cycles
+        load = loads * self.load_stall_cycles
         conflict = (
-            profile.loads * conflict_wait_per_access
-            + profile.stores * conflict_wait_per_access * self.store_buffer_pressure
+            loads * conflict_wait_per_access
+            + stores * conflict_wait_per_access * self.store_buffer_pressure
         )
-        pipeline = (
-            profile.loads * profile.load_use_fraction
-            + profile.instructions * profile.taken_branch_fraction
+        pipeline = loads * load_use_fraction + instructions * taken_branch_fraction
+        total = instructions + imiss + load + conflict + pipeline
+        return imiss, load, conflict, pipeline, total
+
+    def cost(self, profile: OpProfile, conflict_wait_per_access: float) -> HandlerCost:
+        imiss, load, conflict, pipeline, _ = self.categories(
+            profile.instructions,
+            profile.loads,
+            profile.stores,
+            profile.taken_branch_fraction,
+            profile.load_use_fraction,
+            conflict_wait_per_access,
         )
         return HandlerCost(
             instructions=profile.instructions,
-            execution_cycles=execution,
+            execution_cycles=profile.instructions,
             imiss_cycles=imiss,
             load_cycles=load,
             conflict_cycles=conflict,

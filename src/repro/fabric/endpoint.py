@@ -299,10 +299,7 @@ class NicEndpoint(ThroughputSimulator):
     # ==================================================================
     # Accounting fixes for flow-driven sequence semantics
     # ==================================================================
-    def _outstanding_frames(self) -> int:
-        # MAC drops never consumed sequence numbers here, so the base
-        # ``- _rx_dropped`` correction would double-count them.
-        return (
-            (self.driver._next_send_seq - self._tx_done_frames)
-            + (self.mac_rx._next_seq - self.board_rx.commit_seq)
-        )
+    def _rx_seq_drops(self) -> int:
+        # FabricMacReceiver.skip_backlog drops frames before they are
+        # numbered, so no drop consumed a sequence number.
+        return 0

@@ -77,6 +77,10 @@ _HOLD_TXQ = 10.0
 _HOLD_RXPOOL = 14.0
 _HOLD_NOTIFY = 10.0
 
+# Ordering operations are charged with OpProfile's default branch and
+# load-use mix.
+_ORDERING_MIX = OpProfile(0.0, 0.0, 0.0)
+
 
 @dataclass
 class FunctionStats:
@@ -565,6 +569,13 @@ class ThroughputSimulator:
         self._assist_accesses = 0
         self._core_accesses = 0.0
         self._cost_totals = HandlerCost(0, 0, 0, 0, 0, 0)
+        # Table 1 task profiles plus the re-entrancy overhead of the
+        # frame-parallel firmware, composed once from this NIC's own
+        # firmware constants.
+        self._reentrant_profiles: Dict[str, OpProfile] = {
+            name: task.per_frame.plus(config.firmware.reentrancy_per_frame)
+            for name, task in IDEAL_PROFILES.items()
+        }
         self._contention_window_accesses = 0.0
         self._contention_window_start_ps = 0
 
@@ -618,39 +629,74 @@ class ThroughputSimulator:
     # ==================================================================
     # Cost charging
     # ==================================================================
-    def _charge(self, fn_name: str, profile: OpProfile, frames: int = 0) -> float:
-        """Charge a profile to a function; returns its cycle cost."""
-        cost = self.config.cost_model.cost(profile, self._conflict_wait)
-        stats = self.fn[fn_name]
-        stats.instructions += profile.instructions
-        stats.loads += profile.loads
-        stats.stores += profile.stores
-        stats.cycles += cost.total_cycles
-        stats.imiss_cycles += cost.imiss_cycles
-        stats.load_cycles += cost.load_cycles
-        stats.conflict_cycles += cost.conflict_cycles
-        stats.pipeline_cycles += cost.pipeline_cycles
-        stats.frames += frames
-        totals = self._cost_totals
-        totals.instructions += cost.instructions
-        totals.execution_cycles += cost.execution_cycles
-        totals.imiss_cycles += cost.imiss_cycles
-        totals.load_cycles += cost.load_cycles
-        totals.conflict_cycles += cost.conflict_cycles
-        totals.pipeline_cycles += cost.pipeline_cycles
-        self._core_accesses += profile.accesses
-        self._contention_window_accesses += profile.accesses
-        return cost.total_cycles
+    def _charge(
+        self, fn_name: str, profile: OpProfile, factor: float = 1.0, frames: int = 0
+    ) -> float:
+        """Charge ``factor`` x ``profile`` to a function; returns its
+        cycle cost.  Scales the counts in place of building a scaled
+        profile (multiplying by 1.0 is exact)."""
+        return self._charge_counts(
+            fn_name,
+            profile.instructions * factor,
+            profile.loads * factor,
+            profile.stores * factor,
+            profile.taken_branch_fraction,
+            profile.load_use_fraction,
+            frames,
+        )
 
     def _charge_ordering(self, fn_name: str, cost: OrderingCost) -> float:
-        return self._charge(
+        return self._charge_counts(
             fn_name,
-            OpProfile(
-                instructions=cost.instructions,
-                loads=cost.loads,
-                stores=cost.stores,
-            ),
+            cost.instructions,
+            cost.loads,
+            cost.stores,
+            _ORDERING_MIX.taken_branch_fraction,
+            _ORDERING_MIX.load_use_fraction,
+            0,
         )
+
+    def _charge_counts(
+        self,
+        fn_name: str,
+        instructions: float,
+        loads: float,
+        stores: float,
+        taken_branch_fraction: float,
+        load_use_fraction: float,
+        frames: int,
+    ) -> float:
+        """Cost one handler operation mix and accumulate it into the
+        function's stats and the run's Table 3 totals."""
+        imiss, load, conflict, pipeline, total = self.config.cost_model.categories(
+            instructions,
+            loads,
+            stores,
+            taken_branch_fraction,
+            load_use_fraction,
+            self._conflict_wait,
+        )
+        stats = self.fn[fn_name]
+        stats.instructions += instructions
+        stats.loads += loads
+        stats.stores += stores
+        stats.cycles += total
+        stats.imiss_cycles += imiss
+        stats.load_cycles += load
+        stats.conflict_cycles += conflict
+        stats.pipeline_cycles += pipeline
+        stats.frames += frames
+        totals = self._cost_totals
+        totals.instructions += instructions
+        totals.execution_cycles += instructions
+        totals.imiss_cycles += imiss
+        totals.load_cycles += load
+        totals.conflict_cycles += conflict
+        totals.pipeline_cycles += pipeline
+        accesses = loads + stores
+        self._core_accesses += accesses
+        self._contention_window_accesses += accesses
+        return total
 
     def _acquire_lock(
         self,
@@ -689,12 +735,16 @@ class ThroughputSimulator:
             if blocked_cycles > 0:
                 lock.contended += 1
                 lock.total_wait_cycles += blocked_cycles
-        cycles = self._charge(fn_name, self.config.firmware.lock_acquire_release)
+        fw = self.config.firmware
+        cycles = self._charge(fn_name, fw.lock_acquire_release)
         if wait_cycles > 0:
             # A waiting core executes its ll/test/branch spin loop for
             # the whole wait; one loop trip costs ~spin_loop_cycles, so
-            # the charged profile fills the wait with real instructions.
-            cycles += self._charge(fn_name, self.config.firmware.spin_cost(wait_cycles))
+            # the charged profile fills the wait with real instructions
+            # (FirmwareProfiles.spin_cost, charged without building it).
+            cycles += self._charge(
+                fn_name, fw.spin_loop, wait_cycles / fw.spin_loop_cycles
+            )
             self.fn[fn_name].lock_wait_cycles += wait_cycles
         return cycles
 
@@ -896,10 +946,12 @@ class ThroughputSimulator:
         frames = event.count or SEND_FRAMES_PER_BD_FETCH
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
         cycles += self._acquire_lock("txq", now, _HOLD_TXQ, "send_locking", cycles)
-        profile = IDEAL_PROFILES["fetch_send_bd"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(frames)
-        cycles += self._charge("fetch_send_bd", profile, frames=frames)
+        cycles += self._charge(
+            "fetch_send_bd",
+            self._reentrant_profiles["fetch_send_bd"],
+            frames,
+            frames=frames,
+        )
         transfer = self.dma_read.descriptor_transfer(
             now + self.core_clock.cycles_to_ps(cycles),
             frames * BDS_PER_SENT_FRAME * DESCRIPTOR_BYTES,
@@ -976,13 +1028,13 @@ class ThroughputSimulator:
         self._tx_claim_seq += batch
         self._tx_bd_onboard -= batch
         self._tx_space -= bytes_needed
+        cycles += self._charge("send_dispatch_ordering", fw.dispatch_per_frame, batch)
         cycles += self._charge(
-            "send_dispatch_ordering", fw.dispatch_per_frame.scaled(batch)
+            "send_frame",
+            self._reentrant_profiles["send_frame"],
+            batch * _START_FRACTION,
+            frames=batch,
         )
-        start_profile = IDEAL_PROFILES["send_frame"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(batch * _START_FRACTION)
-        cycles += self._charge("send_frame", start_profile, frames=batch)
         checksum = self._checksum_profile(first, batch, sizes=self.tx_sizes)
         if checksum is not None:
             cycles += self._charge("send_frame", checksum)
@@ -1049,12 +1101,13 @@ class ThroughputSimulator:
         fw = self.config.firmware
         batch = event.count
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
-        finish_profile = IDEAL_PROFILES["send_frame"].per_frame.scaled(
-            batch * _FINISH_FRACTION
-        )
-        cycles += self._charge("send_frame", finish_profile, frames=0)
         cycles += self._charge(
-            "send_dispatch_ordering", fw.send_completion_per_frame.scaled(batch)
+            "send_frame",
+            IDEAL_PROFILES["send_frame"].per_frame,
+            batch * _FINISH_FRACTION,
+        )
+        cycles += self._charge(
+            "send_dispatch_ordering", fw.send_completion_per_frame, batch
         )
 
         # Two send-side ordering points: MAC hand-off and host notify.
@@ -1343,13 +1396,13 @@ class ThroughputSimulator:
         )
         self._rx_claim_seq += batch
         self._rx_bds_onboard -= real
+        cycles += self._charge("recv_dispatch_ordering", fw.dispatch_per_frame, real)
         cycles += self._charge(
-            "recv_dispatch_ordering", fw.dispatch_per_frame.scaled(real)
+            "recv_frame",
+            self._reentrant_profiles["recv_frame"],
+            real * _START_FRACTION,
+            frames=real,
         )
-        start_profile = IDEAL_PROFILES["recv_frame"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(real * _START_FRACTION)
-        cycles += self._charge("recv_frame", start_profile, frames=real)
         checksum = self._checksum_profile(
             first, batch, skip=set(holes), sizes=self.rx_sizes
         )
@@ -1426,12 +1479,13 @@ class ThroughputSimulator:
         holes = event.payload or ()
         real = batch - len(holes)
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
-        finish_profile = IDEAL_PROFILES["recv_frame"].per_frame.scaled(
-            real * _FINISH_FRACTION
-        )
-        cycles += self._charge("recv_frame", finish_profile, frames=0)
         cycles += self._charge(
-            "recv_dispatch_ordering", fw.recv_completion_per_frame.scaled(real)
+            "recv_frame",
+            IDEAL_PROFILES["recv_frame"].per_frame,
+            real * _FINISH_FRACTION,
+        )
+        cycles += self._charge(
+            "recv_dispatch_ordering", fw.recv_completion_per_frame, real
         )
 
         software = self.board_rx.requires_lock
@@ -1538,10 +1592,12 @@ class ThroughputSimulator:
         frames = event.count or RECV_BDS_PER_FETCH
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
         cycles += self._acquire_lock("rxpool", now, _HOLD_RXPOOL, "recv_locking", cycles)
-        profile = IDEAL_PROFILES["fetch_recv_bd"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(frames)
-        cycles += self._charge("fetch_recv_bd", profile, frames=frames)
+        cycles += self._charge(
+            "fetch_recv_bd",
+            self._reentrant_profiles["fetch_recv_bd"],
+            frames,
+            frames=frames,
+        )
         transfer = self.dma_read.descriptor_transfer(
             now + self.core_clock.cycles_to_ps(cycles),
             frames * DESCRIPTOR_BYTES,
@@ -1566,16 +1622,22 @@ class ThroughputSimulator:
     # ==================================================================
     # Contention feedback
     # ==================================================================
-    def _outstanding_frames(self) -> int:
-        """Outstanding-frame population for the contention sampler.
+    def _rx_seq_drops(self) -> int:
+        """Receive drops that consumed a MAC sequence number.
 
-        Subclasses with different sequence-number semantics (e.g. the
-        fabric endpoint, where MAC drops do not consume sequence
-        numbers) override this.
+        The standalone MAC's tail drop skips the arrival slots of the
+        frames it drops, so every drop used one.  Subclasses whose MAC
+        drops frames without numbering them (the fabric endpoint)
+        override this; the contention sampler and the post-run
+        conservation identities both read it.
         """
+        return self._rx_dropped
+
+    def _outstanding_frames(self) -> int:
+        """Outstanding-frame population for the contention sampler."""
         return (
             (self.driver._next_send_seq - self._tx_done_frames)
-            + (self.mac_rx._next_seq - self.board_rx.commit_seq - self._rx_dropped)
+            + (self.mac_rx._next_seq - self.board_rx.commit_seq - self._rx_seq_drops())
         )
 
     def _update_contention(self) -> None:

@@ -36,10 +36,12 @@ from repro.check.oracles import (
     run_loopback_oracle,
     run_ordering_oracle,
 )
-from repro.fabric import FabricSimulator, FabricSpec
+from repro.fabric import FabricSimulator, FabricSpec, StreamFlowSpec
+from repro.fabric.flows import FabricFrame
 from repro.faults import FaultPlan
 from repro.firmware import ordering
 from repro.firmware.ordering import OrderingBoard, OrderingMode
+from repro.net.ethernet import frame_bytes_for_udp_payload
 from repro.nic import NicConfig, ThroughputSimulator
 from repro.units import mhz
 
@@ -193,6 +195,75 @@ class TestMonitoredRuns:
             verify_conservation(simulator)
         checked = verify_conservation(simulator, raise_on_failure=False)
         assert checked["rx.commit_accounting"] is False
+
+
+# ----------------------------------------------------------------------
+# Receive drops and sequence numbers (standalone NIC vs fabric endpoint)
+# ----------------------------------------------------------------------
+class TestRxSequenceDrops:
+    BURST = 6
+    BURST_PS = 10_000_000  # 10 us: both NICs idle, pumps asleep
+
+    def _overrun_burst(self):
+        """A two-frame receive buffer hit by a six-frame burst.
+
+        Plays the wire: six 1472-byte frames reach nic1 in the same
+        picosecond.  The pump accepts two (the buffer holds exactly
+        two) and the other four wait at the MAC.  Their arrival slots
+        end one frame time later, long before either accepted frame is
+        stored, DMA'd and committed, so the first ``skip_backlog`` (at
+        that commit) drops all four, unnumbered.
+        """
+        frame_bytes = frame_bytes_for_udp_payload(1472)
+        spec = FabricSpec(
+            nics=2, stream_flows=(StreamFlowSpec(src=0, dst=1, name="burst"),)
+        )
+        fabric = FabricSimulator(
+            _config(rx_buffer_bytes=2 * frame_bytes), spec
+        )
+        for endpoint in fabric.endpoints:  # the stream itself never starts
+            endpoint.start()
+        receiver = fabric.endpoints[1]
+        flow = fabric.flows["burst"]
+
+        def burst():
+            for request_id in range(self.BURST):
+                flow.posted += 1
+                receiver.rx_arrive(
+                    FabricFrame("burst", 0, 1, 1472, "stream", request_id,
+                                created_ps=self.BURST_PS),
+                    self.BURST_PS,
+                )
+
+        fabric.sim.schedule_at(self.BURST_PS, burst)
+        fabric.sim.run(until_ps=self.BURST_PS + 200_000_000)
+        return fabric, receiver, flow
+
+    def test_fabric_overrun_drops_consume_no_sequence_numbers(self):
+        fabric, receiver, flow = self._overrun_burst()
+        accepted, dropped = 2, self.BURST - 2
+        assert receiver.mac_rx._next_seq == accepted
+        assert receiver.mac_rx.frames_accepted == accepted
+        assert receiver._rx_dropped == dropped
+        assert fabric.mac_drops == dropped
+        assert (flow.delivered, flow.lost) == (accepted, dropped)
+        assert receiver._rx_seq_drops() == 0
+        assert receiver._outstanding_frames() == 0
+        checked = verify_conservation(fabric)
+        assert checked["nic1.rx.seq_conservation"]
+        assert checked["nic1.rx.fault_identity"]
+
+    def test_standalone_tail_drops_consume_sequence_numbers(self):
+        # Minimum frames overload two 133 MHz cores; a 16 KiB receive
+        # buffer fills within the run, so the MAC tail-drops.
+        simulator = ThroughputSimulator(_config(rx_buffer_bytes=16 * 1024), 18)
+        simulator.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
+        assert simulator._rx_dropped > 0
+        assert simulator._rx_seq_drops() == simulator._rx_dropped
+        mac_rx = simulator.mac_rx
+        assert mac_rx._next_seq == mac_rx.frames_accepted + simulator._rx_dropped
+        checked = verify_conservation(simulator)
+        assert checked["rx.seq_conservation"] and checked["rx.fault_identity"]
 
 
 # ----------------------------------------------------------------------
