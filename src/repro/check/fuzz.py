@@ -58,6 +58,7 @@ def sample_point(rng: random.Random):
     """One random :class:`RunSpec` drawn from the supported space."""
     from repro.exp.spec import RunSpec, WorkloadSpec
     from repro.fabric.spec import FabricSpec
+    from repro.fabric.topology import TopologySpec
     from repro.faults import FaultPlan
     from repro.firmware.ordering import OrderingMode
     from repro.nic.config import NicConfig
@@ -106,6 +107,17 @@ def sample_point(rng: random.Random):
                 switch=True,
                 port_queue_frames=rng.choice([2, 8]),
             )
+            if rng.random() < 0.5:
+                # The same single switch, spelled as an explicit graph.
+                fabric_spec = dataclasses.replace(
+                    fabric_spec,
+                    topology=TopologySpec(
+                        switches=("s0",),
+                        host_links=tuple(
+                            (nic, "s0") for nic in range(fabric_spec.nics)
+                        ),
+                    ),
+                )
 
     return RunSpec(
         config=config,
@@ -164,8 +176,18 @@ def _drop_faults(spec):
     return dataclasses.replace(spec, fault_plan=None)
 
 
+def _drop_topology(spec):
+    if spec.fabric_spec is None or spec.fabric_spec.topology is None:
+        return spec
+    return dataclasses.replace(
+        spec, fabric_spec=dataclasses.replace(spec.fabric_spec, topology=None)
+    )
+
+
 def _plain_switch(spec):
-    if spec.fabric_spec is None or not spec.fabric_spec.switch:
+    fabric_spec = spec.fabric_spec
+    if (fabric_spec is None or not fabric_spec.switch
+            or fabric_spec.topology is not None):
         return spec
     return dataclasses.replace(
         spec, fabric_spec=dataclasses.replace(spec.fabric_spec, switch=False)
@@ -215,6 +237,8 @@ def _short_window(spec):
 SHRINK_TRANSFORMS: Dict[str, Callable] = {
     "drop_fabric": _drop_fabric,
     "drop_faults": _drop_faults,
+    # Ahead of plain_switch: a topology without a switch is rejected.
+    "drop_topology": _drop_topology,
     "plain_switch": _plain_switch,
     "constant_workload": _constant_workload,
     "single_core": _single_core,

@@ -7,9 +7,9 @@ once, the ordering boards' commit pointers must advance monotonically
 and only across marked-or-skipped slots, locks must grant in FIFO
 reservation order, the distributed event queue must conserve
 ``enqueues - dequeues == depth``, and the fabric wire must conserve
-``injected == forwarded + dropped + queued`` (``queued`` is only
-non-zero while a QoS-configured switch holds frames in per-class
-queues; the legacy wire resolves every frame at transmit time).
+``injected == forwarded + dropped + queued`` (``queued`` counts frames
+a switched wire still holds: in flight between hops or parked in a
+QoS class queue; direct links resolve every frame at transmit time).
 
 This module provides the *monitoring* half of ``repro.check``:
 
@@ -31,7 +31,10 @@ like ``repro.obs.tracer``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.fabric.wire import PortKey
 
 
 class InvariantViolation(AssertionError):
@@ -134,30 +137,30 @@ class NullInvariantMonitor:
     def wire_dropped(self, wire: Any, dst: int) -> None:
         pass
 
-    def wire_port_departure(self, wire: Any, port: int, out_start_ps: int,
+    def wire_port_departure(self, wire: Any, port: PortKey, out_start_ps: int,
                             out_end_ps: int, prev_free_ps: int) -> None:
         pass
 
     # -- per-class (QoS) switch ports -----------------------------------
-    def qos_injected(self, wire: Any, port: int, cls: int) -> None:
+    def qos_injected(self, wire: Any, port: PortKey, cls: int) -> None:
         pass
 
-    def qos_enqueued(self, wire: Any, port: int, cls: int, depth: int) -> None:
+    def qos_enqueued(self, wire: Any, port: PortKey, cls: int, depth: int) -> None:
         pass
 
-    def qos_forwarded(self, wire: Any, port: int, cls: int, depth: int) -> None:
+    def qos_forwarded(self, wire: Any, port: PortKey, cls: int, depth: int) -> None:
         pass
 
-    def qos_dropped(self, wire: Any, port: int, cls: int, kind: str) -> None:
+    def qos_dropped(self, wire: Any, port: PortKey, cls: int, kind: str) -> None:
         pass
 
-    def qos_pause(self, wire: Any, port: int, cls: int, paused: bool) -> None:
+    def qos_pause(self, wire: Any, port: PortKey, cls: int, paused: bool) -> None:
         pass
 
-    def qos_port_idle(self, wire: Any, port: int, backlog: int) -> None:
+    def qos_port_idle(self, wire: Any, port: PortKey, backlog: int) -> None:
         pass
 
-    # -- composed topologies (multi-switch graph wire) ------------------
+    # -- switched wire hops (implicit switch or topology graph) ---------
     def topo_route(self, wire: Any, flow: str, src: int, dst: int,
                    path: Any, hop_bound: int) -> None:
         pass
@@ -165,13 +168,13 @@ class NullInvariantMonitor:
     def topo_transit(self, wire: Any, delta: int) -> None:
         pass
 
-    def topo_link_entered(self, wire: Any, link: str) -> None:
+    def topo_link_entered(self, wire: Any, link: PortKey) -> None:
         pass
 
-    def topo_link_forwarded(self, wire: Any, link: str) -> None:
+    def topo_link_forwarded(self, wire: Any, link: PortKey) -> None:
         pass
 
-    def topo_link_dropped(self, wire: Any, link: str) -> None:
+    def topo_link_dropped(self, wire: Any, link: PortKey) -> None:
         pass
 
     # -- reporting ------------------------------------------------------
@@ -232,18 +235,18 @@ class InvariantMonitor(NullInvariantMonitor):
         self._sdram_bus_free: Dict[int, int] = {}
         # Fabric wires, keyed by identity.
         # [injected, forwarded, dropped, queued] — queued is the shadow
-        # of frames parked in per-class QoS switch queues (always 0 on
-        # the legacy wire, whose ports resolve frames at transmit time).
+        # of frames a switched wire still holds (in flight between hops
+        # or parked in a QoS class queue; always 0 on direct links).
         self._wire_counts: Dict[int, List[int]] = {}
         self._wire_delivery: Dict[Tuple[int, str, int], int] = {}
-        self._wire_port_free: Dict[Tuple[int, int], int] = {}
+        self._wire_port_free: Dict[Tuple[int, PortKey], int] = {}
         # Per-(wire, port, class) QoS shadows:
         # [enqueued, forwarded, tail drops, red drops] and pause state.
-        self._qos_counts: Dict[Tuple[int, int, int], List[int]] = {}
-        self._qos_paused: Dict[Tuple[int, int, int], bool] = {}
-        # Composed-topology shadows: per-(wire, link) [entered,
-        # forwarded, dropped] counters and resolved-route records.
-        self._topo_links: Dict[Tuple[int, str], List[int]] = {}
+        self._qos_counts: Dict[Tuple[int, PortKey, int], List[int]] = {}
+        self._qos_paused: Dict[Tuple[int, PortKey, int], bool] = {}
+        # Switched-hop shadows: per-(wire, port) [entered, forwarded,
+        # dropped] counters and resolved topology-route records.
+        self._topo_links: Dict[Tuple[int, PortKey], List[int]] = {}
         self._topo_routes: Dict[Tuple[int, str, int, int], Any] = {}
         # Multi-queue host rings: (host id, ring, direction) ->
         # [posted, completed] descriptor counts.
@@ -659,7 +662,7 @@ class InvariantMonitor(NullInvariantMonitor):
         counts[2] += 1
         self._check_wire_conservation(wire, counts)
 
-    def wire_port_departure(self, wire: Any, port: int, out_start_ps: int,
+    def wire_port_departure(self, wire: Any, port: PortKey, out_start_ps: int,
                             out_end_ps: int, prev_free_ps: int) -> None:
         self._count("wire.port")
         if out_end_ps <= out_start_ps:
@@ -685,7 +688,7 @@ class InvariantMonitor(NullInvariantMonitor):
     # class queue), so the global conservation identity holds at every
     # hook, and per-(port, class) shadows pin the queue-depth identity
     # ``depth == enqueued - forwarded`` on every move.
-    def _qos(self, wire: Any, port: int, cls: int) -> List[int]:
+    def _qos(self, wire: Any, port: PortKey, cls: int) -> List[int]:
         key = (id(wire), port, cls)
         counts = self._qos_counts.get(key)
         if counts is None:
@@ -695,7 +698,7 @@ class InvariantMonitor(NullInvariantMonitor):
             self._qos_counts[key] = counts
         return counts
 
-    def _check_qos_class(self, port: int, cls: int, counts: List[int],
+    def _check_qos_class(self, port: PortKey, cls: int, counts: List[int],
                          depth: int) -> None:
         injected, enqueued, forwarded, tail, red = counts
         if depth != enqueued - forwarded:
@@ -709,25 +712,25 @@ class InvariantMonitor(NullInvariantMonitor):
                        port=port, cls=cls, injected=injected,
                        enqueued=enqueued, tail=tail, red=red)
 
-    def qos_injected(self, wire: Any, port: int, cls: int) -> None:
+    def qos_injected(self, wire: Any, port: PortKey, cls: int) -> None:
         self._count("qos.inject")
         self._wire(wire)[3] += 1
         self._qos(wire, port, cls)[0] += 1
 
-    def qos_enqueued(self, wire: Any, port: int, cls: int, depth: int) -> None:
+    def qos_enqueued(self, wire: Any, port: PortKey, cls: int, depth: int) -> None:
         self._count("qos.enqueue")
         counts = self._qos(wire, port, cls)
         counts[1] += 1
         self._check_qos_class(port, cls, counts, depth)
 
-    def qos_forwarded(self, wire: Any, port: int, cls: int, depth: int) -> None:
+    def qos_forwarded(self, wire: Any, port: PortKey, cls: int, depth: int) -> None:
         self._count("qos.forward")
         self._wire(wire)[3] -= 1
         counts = self._qos(wire, port, cls)
         counts[2] += 1
         self._check_qos_class(port, cls, counts, depth)
 
-    def qos_dropped(self, wire: Any, port: int, cls: int, kind: str) -> None:
+    def qos_dropped(self, wire: Any, port: PortKey, cls: int, kind: str) -> None:
         self._count("qos.drop")
         self._wire(wire)[3] -= 1
         counts = self._qos(wire, port, cls)
@@ -735,7 +738,7 @@ class InvariantMonitor(NullInvariantMonitor):
         self._check_qos_class(port, cls, counts,
                               counts[1] - counts[2])
 
-    def qos_pause(self, wire: Any, port: int, cls: int, paused: bool) -> None:
+    def qos_pause(self, wire: Any, port: PortKey, cls: int, paused: bool) -> None:
         self._count("qos.pause")
         key = (id(wire), port, cls)
         previous = self._qos_paused.get(key, False)
@@ -745,7 +748,7 @@ class InvariantMonitor(NullInvariantMonitor):
                        port=port, cls=cls, paused=paused)
         self._qos_paused[key] = paused
 
-    def qos_port_idle(self, wire: Any, port: int, backlog: int) -> None:
+    def qos_port_idle(self, wire: Any, port: PortKey, backlog: int) -> None:
         self._count("qos.work_conserving")
         if backlog != 0:
             self._fail("qos.work_conserving",
@@ -753,15 +756,15 @@ class InvariantMonitor(NullInvariantMonitor):
                        port=port, backlog=backlog)
 
     # ------------------------------------------------------------------
-    # Composed topologies (multi-switch graph wire)
+    # Switched wire hops (implicit single switch or topology graph)
     # ------------------------------------------------------------------
-    # A graph wire resolves frames hop by hop; ``topo_transit`` shadows
-    # the in-flight window between hops in the wire-level ``queued``
-    # slot so the global conservation identity (checked inside
-    # ``wire_forwarded``/``wire_dropped``) holds at every hook.
-    # Per-link shadows pin that no frame leaves an egress link it never
-    # entered, and every resolved route is checked loop-free and within
-    # the topology's shortest-path hop bound.
+    # A switched wire resolves frames hop by hop; ``topo_transit``
+    # shadows the in-flight window between hops in the wire-level
+    # ``queued`` slot so the global conservation identity (checked
+    # inside ``wire_forwarded``/``wire_dropped``) holds at every hook.
+    # Per-port shadows pin that no frame leaves an egress port it never
+    # entered, and every resolved topology route is checked loop-free
+    # and within the topology's shortest-path hop bound.
     def topo_route(self, wire: Any, flow: str, src: int, dst: int,
                    path: Any, hop_bound: int) -> None:
         self._count("topo.route")
@@ -790,7 +793,7 @@ class InvariantMonitor(NullInvariantMonitor):
                        "more frames left the fabric than entered it",
                        queued=counts[3])
 
-    def _topo_link(self, wire: Any, link: str) -> List[int]:
+    def _topo_link(self, wire: Any, link: PortKey) -> List[int]:
         key = (id(wire), link)
         counts = self._topo_links.get(key)
         if counts is None:
@@ -799,7 +802,7 @@ class InvariantMonitor(NullInvariantMonitor):
             self._topo_links[key] = counts
         return counts
 
-    def _check_topo_link(self, link: str, counts: List[int]) -> None:
+    def _check_topo_link(self, link: PortKey, counts: List[int]) -> None:
         entered, forwarded, dropped = counts
         if forwarded + dropped > entered:
             self._fail("topo.link",
@@ -807,17 +810,17 @@ class InvariantMonitor(NullInvariantMonitor):
                        link=link, entered=entered, forwarded=forwarded,
                        dropped=dropped)
 
-    def topo_link_entered(self, wire: Any, link: str) -> None:
+    def topo_link_entered(self, wire: Any, link: PortKey) -> None:
         self._count("topo.link")
         self._topo_link(wire, link)[0] += 1
 
-    def topo_link_forwarded(self, wire: Any, link: str) -> None:
+    def topo_link_forwarded(self, wire: Any, link: PortKey) -> None:
         self._count("topo.link")
         counts = self._topo_link(wire, link)
         counts[1] += 1
         self._check_topo_link(link, counts)
 
-    def topo_link_dropped(self, wire: Any, link: str) -> None:
+    def topo_link_dropped(self, wire: Any, link: PortKey) -> None:
         self._count("topo.link")
         counts = self._topo_link(wire, link)
         counts[2] += 1

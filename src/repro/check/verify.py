@@ -238,8 +238,7 @@ def _verify_fabric(fabric: Any, checker: _Checker) -> None:
         )
     if wire.qos is not None:
         _verify_qos(wire, checker)
-    if getattr(wire, "topology", None) is not None:
-        _verify_topology(wire, checker)
+    _verify_links(wire, checker)
     for index, endpoint in enumerate(fabric.endpoints):
         sub = _Checker(f"{checker.label}nic{index}.")
         _verify_throughput(endpoint, sub)
@@ -284,18 +283,20 @@ def _verify_qos(wire: Any, checker: _Checker) -> None:
                 )
 
 
-def _verify_topology(wire: Any, checker: _Checker) -> None:
-    """Per-link end-state identities of a composed topology.
+def _verify_links(wire: Any, checker: _Checker) -> None:
+    """Per-port end-state identities of a switched wire (the implicit
+    single switch or every link of a composed topology; direct links
+    keep no port counters).
 
-    Every frame that entered a link's output port was forwarded on,
-    dropped, or (QoS ports only) is still parked in a class queue.
-    Analytic tail-drop ports resolve each frame at its hop instant, so
-    they carry no residual state at all.
+    Every frame that entered an egress port was forwarded on, dropped,
+    or (QoS ports only) is still parked in a class queue.  Analytic
+    tail-drop ports resolve each frame at its hop instant, so they
+    carry no residual state at all.
     """
     for key in sorted(wire.link_counts):
         entered, forwarded, dropped = wire.link_counts[key]
         if wire.qos is not None:
-            backlog = wire._topo_qos_port(key).backlog()
+            backlog = wire.port(key).backlog()
         else:
             backlog = 0
         checker.equal(

@@ -36,7 +36,9 @@ from repro.nic.config import NicConfig
 #: v2: fabric runs default to the streaming latency estimator, so
 #: fabric percentiles differ (within the documented error bound) from
 #: v1's exact-sample values.
-CACHE_SCHEMA_VERSION = 2
+#: v3: switched fabrics admit frames at switch arrival, so contended
+#: switch ports (and the window's forwarded count) differ from v2.
+CACHE_SCHEMA_VERSION = 3
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.fabric.flows import (
 )
 from repro.fabric.flowtable import FlowTable
 from repro.fabric.spec import FabricSpec
-from repro.fabric.wire import FabricWire
+from repro.fabric.wire import FabricWire, PortKey
 from repro.faults import FaultPlan
 from repro.host.rss import RssSpec
 from repro.net.ethernet import EthernetTiming
@@ -252,11 +252,11 @@ class FabricSimulator:
         if self.qos_runtime is not None:
             self.qos_runtime.on_delivered(frame, now_ps)
 
-    def qos_pause(self, port: int, cls: int, now_ps: int) -> None:
+    def qos_pause(self, port: PortKey, cls: int, now_ps: int) -> None:
         """Wire XOFF: the class queue on ``port`` crossed its watermark."""
         self.qos_runtime.pause(port, cls, now_ps)
 
-    def qos_resume(self, port: int, cls: int, now_ps: int) -> None:
+    def qos_resume(self, port: PortKey, cls: int, now_ps: int) -> None:
         """Wire XON: the class queue drained to its resume watermark."""
         self.qos_runtime.resume(port, cls, now_ps)
 

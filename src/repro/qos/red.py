@@ -22,6 +22,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.fabric.wire import PortKey
 
 _TWO_64 = float(2**64)
 
@@ -79,9 +83,9 @@ def keyed_uniform(seed: int, axis: str, index: int) -> float:
 
 
 def red_decide(
-    seed: int, port: int, class_name: str, index: int, probability: float
+    seed: int, port: PortKey, class_name: str, index: int, probability: float
 ) -> bool:
-    """Does the ``index``-th RED opportunity on (port, class) drop?"""
+    """Does the ``index``-th RED opportunity on (port key, class) drop?"""
     if probability <= 0.0:
         return False
     if probability >= 1.0:

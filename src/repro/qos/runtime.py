@@ -13,7 +13,7 @@ paused class targeting the congested port.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.fabric.flows import (
     LATENCY_SIGNIFICANT_DIGITS,
@@ -21,6 +21,9 @@ from repro.fabric.flows import (
     LatencySummary,
     StreamFlowRuntime,
 )
+
+if TYPE_CHECKING:
+    from repro.fabric.wire import PortKey
 
 
 class QosRuntime:
@@ -46,23 +49,20 @@ class QosRuntime:
             for tc in qos.classes
         ]
         # (port key, class index) -> stream pacers PFC pause can stop.
-        # The legacy single switch keys ports by destination endpoint;
-        # a composed topology keys them by link name, and a flow must
-        # react to XOFF from *any* link on its (deterministic, ECMP-
-        # resolved) route — congestion at a spine uplink pauses the
-        # sender just like congestion at the access link.
-        self._pacers: Dict[Tuple[object, int], List[StreamFlowRuntime]] = {}
+        # A flow must react to XOFF from *any* port on its route (the
+        # destination's port on the implicit single switch; every
+        # deterministic, ECMP-resolved link on a topology) — congestion
+        # at a spine uplink pauses the sender just like congestion at
+        # the access link.
+        self._pacers: Dict[Tuple[PortKey, int], List[StreamFlowRuntime]] = {}
         for runtime in fabric.flows.values():
             class_name = qos.resolve(runtime.spec.qos_class)
             cls = self._index[class_name]
             runtime._qos_tag = (class_name, qos.classes[cls].dscp)
             if isinstance(runtime, StreamFlowRuntime):
-                if fabric.spec.topology is not None:
-                    keys = fabric.wire.route_ports(
-                        runtime.name, runtime.spec.src, runtime.spec.dst
-                    )
-                else:
-                    keys = (runtime.spec.dst,)
+                keys = fabric.wire.route_ports(
+                    runtime.name, runtime.spec.src, runtime.spec.dst
+                )
                 for key in keys:
                     self._pacers.setdefault((key, cls), []).append(runtime)
 
@@ -77,11 +77,11 @@ class QosRuntime:
         else:
             self.oneway_samples_us[cls].append(oneway_us)
 
-    def pause(self, port: int, cls: int, now_ps: int) -> None:
+    def pause(self, port: PortKey, cls: int, now_ps: int) -> None:
         for runtime in self._pacers.get((port, cls), ()):
             runtime.qos_pause(now_ps)
 
-    def resume(self, port: int, cls: int, now_ps: int) -> None:
+    def resume(self, port: PortKey, cls: int, now_ps: int) -> None:
         for runtime in self._pacers.get((port, cls), ()):
             runtime.qos_resume(now_ps)
 

@@ -408,6 +408,26 @@ class TestFuzz:
         assert shrunk.fault_plan is None
         assert shrunk.config.cores == 1
 
+    def test_topology_cases_shrink_to_the_implicit_switch(self):
+        """Some switched cases carry a one-switch topology; dropping it
+        leaves the implicit switch, and only then can plain_switch
+        (which would otherwise build an invalid spec) take effect."""
+        index = next(
+            i for i in range(64)
+            if spec_for_case(0, i).fabric_spec is not None
+            and spec_for_case(0, i).fabric_spec.topology is not None
+        )
+        spec = spec_for_case(0, index)
+        assert spec.fabric_spec.switch
+        names = list(SHRINK_TRANSFORMS)
+        assert names.index("drop_topology") < names.index("plain_switch")
+        assert apply_shrinks(spec, ["plain_switch"]) == spec
+        implicit = apply_shrinks(spec, ["drop_topology"])
+        assert implicit.fabric_spec.topology is None
+        assert implicit.fabric_spec.switch
+        plain = apply_shrinks(spec, ["drop_topology", "plain_switch"])
+        assert not plain.fabric_spec.switch
+
     def test_unknown_shrink_rejected(self):
         with pytest.raises(KeyError):
             apply_shrinks(spec_for_case(0, 0), ["no_such_transform"])

@@ -426,6 +426,138 @@ class TestSwitch:
 
 
 # ----------------------------------------------------------------------
+# One switch forwarding path
+# ----------------------------------------------------------------------
+class _OracleEndpoint:
+    faults = None
+
+    def __init__(self) -> None:
+        self.arrivals = []
+
+    def rx_arrive(self, frame, available_ps):
+        self.arrivals.append((frame.udp_payload_bytes, available_ps))
+
+
+class _OracleFabric:
+    """Just enough fabric around a real kernel for a bare FabricWire."""
+
+    def __init__(self, spec) -> None:
+        from repro.net.ethernet import EthernetTiming
+        from repro.obs import NULL_TRACER
+        from repro.sim.kernel import Simulator
+
+        self.sim = Simulator()
+        self.endpoints = [_OracleEndpoint() for _ in range(spec.nics)]
+        self.tracer = NULL_TRACER
+        self.timing = EthernetTiming()
+        self.lost = []
+
+    def frame_lost(self, frame, now_ps, reason):
+        self.lost.append((frame.udp_payload_bytes, now_ps, reason))
+
+
+class TestSwitchAdmissionOrder:
+    def test_port_serves_frames_in_switch_arrival_order(self):
+        """Hand-computed oracle: a store-and-forward port admits frames
+        when they reach the switch, not when their source MAC starts.
+
+        Both frames leave their sources at t=0 toward NIC 2 through a
+        one-frame port (1 us propagation per hop, 0.5 us forwarding):
+
+        * 64-B frame (84 B on the wire, 67_200 ps): at the switch at
+          67_200 + 1_000_000 = 1_067_200, ready at 1_567_200 on an
+          empty port, serialized until 1_634_400, first bit at NIC 2
+          at 1_567_200 + 1_000_000 = 2_567_200;
+        * 1472-B frame (1538 B, 1_230_400 ps): ready at
+          1_230_400 + 1_000_000 + 500_000 = 2_730_400, after the 64-B
+          frame departed, so it is admitted too: 3_730_400.
+
+        Deciding admission at transmit-call time instead (1472-B frame
+        first) would tail-drop the 64-B frame at 1_567_200 against a
+        port no frame had reached yet.
+        """
+        from repro.assists.mac import WireEvent
+        from repro.check.monitor import InvariantMonitor
+        from repro.fabric.flows import FabricFrame
+        from repro.fabric.wire import FabricWire
+
+        spec = FabricSpec(
+            nics=3, switch=True, port_queue_frames=1,
+            stream_flows=(StreamFlowSpec(src=0, dst=2),),
+        )
+        fabric = _OracleFabric(spec)
+        wire = FabricWire(fabric, spec)
+        wire.monitor = InvariantMonitor()
+        for seq, (src, payload, wire_end_ps) in enumerate(
+            ((0, 1472, 1_230_400), (1, 18, 67_200))
+        ):
+            frame = FabricFrame(
+                flow=f"f{src}", src=src, dst=2, udp_payload_bytes=payload,
+                kind="stream", request_id=seq, created_ps=0,
+            )
+            assert fabric.timing.frame_time_ps(frame.frame_bytes) == wire_end_ps
+            wire.transmit(src, frame, WireEvent(0, 0, wire_end_ps, 0))
+        fabric.sim.run()
+        assert fabric.endpoints[2].arrivals == [
+            (18, 2_567_200), (1472, 3_730_400),
+        ]
+        assert fabric.lost == []
+        assert (wire.forwarded, wire.drops) == (2, 0)
+        assert wire.link_counts == {2: [2, 2, 0]}
+        assert wire.monitor.ok, wire.monitor.violations
+
+
+class TestImplicitSwitchEqualsOneSwitchTopology:
+    """Differential oracle: ``switch=True`` without a topology is the
+    same fabric as an explicit one-switch :class:`TopologySpec`."""
+
+    @staticmethod
+    def _flows(request_bytes, topology):
+        from repro.fabric import TopologySpec
+
+        spec = FabricSpec(
+            nics=3,
+            switch=True,
+            port_queue_frames=4,
+            stream_flows=(
+                StreamFlowSpec(src=0, dst=2, offered_fraction=0.9, name="s0"),
+                StreamFlowSpec(src=1, dst=2, offered_fraction=0.9, name="s1"),
+            ),
+            rpc_flows=(
+                RpcFlowSpec(client=1, server=2, name="rpc0",
+                            request_payload_bytes=request_bytes),
+            ),
+            topology=(
+                TopologySpec(
+                    switches=("s",),
+                    host_links=tuple((nic, "s") for nic in range(3)),
+                )
+                if topology else None
+            ),
+        )
+        config = NicConfig(cores=4, core_frequency_hz=mhz(133))
+        result = FabricSimulator(config, spec, estimator="exact").run(
+            WARMUP_S, MEASURE_S
+        )
+        return {
+            name: (
+                flow.delivered,
+                flow.lost,
+                flow.rtt.to_dict() if flow.rtt is not None else None,
+            )
+            for name, flow in result.flows.items()
+        }
+
+    @pytest.mark.parametrize("request_bytes", [64, 1472])
+    def test_contended_incast_matches(self, request_bytes):
+        implicit = self._flows(request_bytes, topology=False)
+        explicit = self._flows(request_bytes, topology=True)
+        assert implicit == explicit
+        # The RPC shares the contended port and still completes.
+        assert implicit["rpc0"][0] > 0 and implicit["rpc0"][1] > 0
+
+
+# ----------------------------------------------------------------------
 # Tracing
 # ----------------------------------------------------------------------
 class TestTracing:

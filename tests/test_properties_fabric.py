@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) for the fabric wire/switch model.
 
 These drive :class:`repro.fabric.wire.FabricWire` directly against a
-stub fabric (no NIC endpoints, no kernel) so hypothesis can explore
-thousands of frame schedules per second.  Properties:
+stub fabric (no NIC endpoints; a minimal time-ordered event heap in
+place of the kernel) so hypothesis can explore thousands of frame
+schedules per second.  Properties:
 
 * conservation: ``injected == delivered + switch_tail_drops`` on every
   schedule, and direct links never drop;
@@ -13,6 +14,7 @@ thousands of frame schedules per second.  Properties:
 """
 
 import dataclasses
+import heapq
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -43,11 +45,23 @@ class _StubTracer:
 
 
 class _StubSim:
+    """Runs callbacks in (time, ticket) order, like the kernel's
+    stable heap, and exposes ``now_ps`` to the switch hop events."""
+
     def __init__(self) -> None:
-        self.pending = []
+        self._heap = []
+        self._ticket = 0
+        self.now_ps = 0
 
     def schedule_at(self, when_ps, callback):
-        self.pending.append(callback)
+        heapq.heappush(self._heap, (when_ps, self._ticket, callback))
+        self._ticket += 1
+
+    def drain(self):
+        while self._heap:
+            when, _ticket, callback = heapq.heappop(self._heap)
+            self.now_ps = when
+            callback()
 
 
 class _StubFabric:
@@ -62,15 +76,7 @@ class _StubFabric:
         self.lost.append((frame, now_ps, reason))
 
     def drain(self):
-        # Transmits happen in global wire_start order, so executing the
-        # deferred callbacks in schedule order preserves per-link and
-        # per-port delivery order (what the kernel's stable heap does).
-        for callback in self.pending_callbacks():
-            callback()
-
-    def pending_callbacks(self):
-        drained, self.sim.pending = self.sim.pending, []
-        return drained
+        self.sim.drain()
 
 
 # ----------------------------------------------------------------------

@@ -270,7 +270,9 @@ def test_pause_resume_conserves_frames(case):
         ))
     fabric.sim.drain()
 
-    port = wire._qos_ports[2]
+    # Every frame targets NIC 2: its port is the only one live.
+    (port,) = wire.qos_ports()
+    assert port.index == 2
     delivered = sum(len(ep.arrivals) for ep in fabric.endpoints)
     # Conservation: injected == forwarded + dropped + still-queued, and
     # after a full drain the backlog must be empty (work conservation).
