@@ -371,7 +371,7 @@ class StreamFlowRuntime(FlowRuntime):
         self._deferred = False
         self.pause_count = 0
         # Fast path: the open-loop pacer is a textbook self-rescheduling
-        # chain, so it runs on a heap-free ticket-faithful timer when
+        # chain, so it runs on a single-slot ticket-faithful timer when
         # the fabric's batched mode is on (byte-identical ordering; see
         # repro.sim.batch.ChainedTimer).
         self._timer = (

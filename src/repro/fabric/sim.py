@@ -173,7 +173,7 @@ class FabricSimulator:
         self.config = config
         self.spec = spec
         #: Batched hot path (CLI ``--fast``): every endpoint runs its rx
-        #: pump on a heap-free chained timer and the paced stream flows
+        #: pump on a single-slot chained timer and the paced stream flows
         #: arm one too.  Byte-identical to the reference path — the
         #: golden corpus digests both (docs/observability.md).
         self.fast = bool(fast)

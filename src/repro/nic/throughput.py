@@ -356,7 +356,7 @@ class ThroughputSimulator:
         as before.
 
         ``fast`` engages the batched hot path (CLI ``--fast``): the rx
-        pump chain runs on a heap-free
+        pump chain runs on a single-slot
         :class:`repro.sim.batch.ChainedTimer` and window claims /
         firmware checksum walks read vectorized size arrays.  Every
         fast-path substitution is integer-exact and ticket-faithful, so
@@ -1260,7 +1260,7 @@ class ThroughputSimulator:
         allocates its kernel ticket at this same program point, so
         (time, priority, ticket) ordering — including the exact tie
         where a frame's store event and the next arrival land on the
-        same picosecond — is byte-identical, with no heap traffic.
+        same picosecond — is byte-identical to the reference chain.
         """
         if self._rx_timer is not None:
             self._rx_timer.arm(when_ps)

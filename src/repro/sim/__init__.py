@@ -11,9 +11,10 @@ while preserving cycle-accurate ordering within each clock domain.
 ``repro.sim.batch`` is the Python analogue of the paper's compiled
 Spinach/LSE modules: homogeneous event streams (frame quanta, paced
 injections) are precomputed into timestamp arrays and drained in
-vectorized chunks through the same :class:`Simulator` run loop, with a
-ticket-faithful chained-timer mode whose event order is provably
-byte-identical to the reference heap path.
+vectorized chunks through the same :class:`Simulator` run loop.  Its
+chained timer is an ordinary heap entry under the ticket the reference
+chain would have taken, so its event order is provably byte-identical
+to the reference heap path.
 """
 
 from repro.sim.batch import BatchScheduler, BatchSource, ChainedTimer

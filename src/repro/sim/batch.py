@@ -1,4 +1,4 @@
-"""Batched event sources: the kernel's vectorized fast path.
+"""Chained timers and batched event sources: the kernel's fast path.
 
 The reference kernel dispatches one Python callback per event through a
 binary heap.  That is exact but slow: homogeneous event streams — frame
@@ -11,28 +11,29 @@ array once (numpy ``int64`` when available, plain integer sequences
 otherwise) and drain *runs* of events in vectorized chunks, falling back
 to one-at-a-time dispatch whenever exactness demands it.
 
-Two source flavours plug into :meth:`repro.sim.Simulator.run`'s merge
-loop:
-
 :class:`ChainedTimer`
-    A ticket-faithful, heap-free replacement for the classic
-    self-rescheduling callback chain (``schedule_at(next, self._pump)``
-    as the last statement of ``_pump``).  ``arm()`` allocates a real
-    ticket from the kernel's counter at exactly the program point the
-    reference chain would have called ``schedule_at``, so
-    ``(time, priority, ticket)`` tie-breaking — and therefore the entire
-    event order — is *identical* to the reference path.  This is what
+    A ticket-faithful single slot for the classic self-rescheduling
+    callback chain (``schedule_at(next, self._pump)`` as the last
+    statement of ``_pump``).  ``arm()`` takes a real ticket from the
+    kernel's counter at exactly the program point the reference chain
+    would have called ``schedule_at`` and pushes the callback onto the
+    kernel heap under it, so the firing is an ordinary heap event with
+    the same ``(time, priority, ticket)`` key — and therefore the entire
+    event order is *identical* to the reference path.  This is what
     makes golden-trace byte-identity provable rather than probable.
+    The timer saves the ``Event`` handle and ``schedule`` indirection
+    and guards the slot (one pending firing at a time).
 
 :class:`BatchSource`
-    A precomputed stream of event times drained in maximal runs that fit
-    strictly before the next pending heap event (or other source).  With
-    a ``chunk_fn`` and no invariant monitor attached, a run of N quanta
-    costs one ``searchsorted`` and one Python call instead of N heap
-    operations — the ≥10x engine.  Same-instant ties against heap events
-    always go to the heap (the source behaves as if its events were
-    scheduled last), a deterministic rule that holds whether or not a
-    monitor is attached.
+    A precomputed stream of event times kept *outside* the heap and
+    merged with it by :meth:`repro.sim.Simulator.run`'s general loop,
+    drained in maximal runs that fit strictly before the next pending
+    heap event (or other source).  With a ``chunk_fn`` and no invariant
+    monitor attached, a run of N quanta costs one ``searchsorted`` and
+    one Python call instead of N heap operations — the ≥10x engine.
+    Same-instant ties against heap events always go to the heap (the
+    source behaves as if its events were scheduled last), a
+    deterministic rule that holds whether or not a monitor is attached.
 
 Conformance rules the kernel relies on:
 
@@ -43,7 +44,8 @@ Conformance rules the kernel relies on:
 * When an invariant monitor is enabled, every source degrades to
   one-event-per-drain dispatch with per-event tickets, so ticket
   conservation (scheduled == fired + discarded + live) is checked on
-  the fast path too.
+  the fast path too.  Timers need no such mode: their tickets are
+  scheduled, fired, cancelled and discarded like any heap event's.
 * When numpy is missing, ``BatchSource`` runs the same logic over plain
   integer sequences (``range`` for periodic streams) via ``bisect`` —
   slower, but bit-identical.
@@ -52,7 +54,7 @@ Conformance rules the kernel relies on:
 from __future__ import annotations
 
 import bisect
-import operator
+import heapq
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -60,6 +62,8 @@ try:  # pragma: no cover - exercised via the fallback tests
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
+
+from repro.sim.kernel import Event, _as_int_ps
 
 HAVE_NUMPY = _np is not None
 
@@ -72,39 +76,22 @@ DEFAULT_WINDOW = 65536
 TIE_LOSER = float("inf")
 
 
-def _as_time_ps(value, what: str = "time_ps") -> int:
-    """Normalize a timestamp to a built-in ``int`` (see kernel policy)."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-        raise TypeError(
-            f"{what} must be a whole number of picoseconds, got {value!r}"
-        )
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(
-            f"{what} must be an integer picosecond count, got "
-            f"{type(value).__name__} {value!r}"
-        ) from None
-
-
 class ChainedTimer:
     """Single-slot, ticket-faithful timer for self-rescheduling chains.
 
-    Replaces the ``schedule_at(when, fn)`` / pop / fire cycle of a
-    callback chain with one mutable slot: ``arm(when_ps)`` where the
-    chain would have scheduled, and the kernel fires ``fn`` at exactly
-    the time, priority and ticket order the heap would have produced.
-    The callback may re-arm the timer (the slot is freed before ``fn``
-    runs), exactly like a reference chain scheduling its successor.
+    ``arm(when_ps)`` stands where the chain would have called
+    ``schedule_at(when_ps, fn)``: it pushes ``fn`` onto the kernel heap
+    under a fresh kernel ticket, so ``fn`` fires at exactly the time,
+    priority and ticket order the reference chain produces.  The kernel
+    frees the slot when it pops the entry, before ``fn`` runs, so the
+    callback may re-arm the timer exactly like a reference chain
+    scheduling its successor.  ``cancel()`` goes through
+    :meth:`Simulator.cancel`: the entry becomes an ordinary ghost.
     """
 
     __slots__ = (
         "sim", "fn", "priority", "label",
-        "next_time_ps", "tie_ticket", "armed", "fired",
+        "_ticket", "_when", "_arms", "_cancels",
     )
 
     def __init__(self, sim, fn: Callable[[], None], priority: int = 0,
@@ -113,14 +100,20 @@ class ChainedTimer:
         self.fn = fn
         self.priority = priority
         self.label = label or getattr(fn, "__name__", "timer")
-        self.next_time_ps = 0
-        self.tie_ticket = 0
-        self.armed = False
-        self.fired = 0
+        self._ticket = -1  # ticket of the armed heap entry; -1 if none
+        self._when = 0
+        self._arms = 0
+        self._cancels = 0
 
     @property
     def pending(self) -> int:
-        return 1 if self.armed else 0
+        """1 while a firing is armed, else 0."""
+        return 1 if self._ticket in self.sim._live else 0
+
+    @property
+    def fired(self) -> int:
+        """Firings so far: every arm ends fired, cancelled or pending."""
+        return self._arms - self._cancels - self.pending
 
     def arm(self, time_ps: int) -> None:
         """Schedule the next firing at absolute time ``time_ps``.
@@ -128,59 +121,36 @@ class ChainedTimer:
         Allocates a kernel ticket immediately — the same side effect a
         reference ``schedule_at`` call would have — so tie-breaking
         against heap events is byte-identical to the chain it replaces.
+        The entry is pushed directly rather than through
+        :meth:`Simulator.schedule`, which would wrap ``fn`` a second
+        time for anything that instruments ``schedule``.
         """
         sim = self.sim
         if type(time_ps) is not int:
-            time_ps = _as_time_ps(time_ps)
+            time_ps = _as_int_ps(time_ps, "time_ps")
         if time_ps < sim.now_ps:
             raise ValueError(
                 f"cannot arm in the past ({time_ps} < now {sim.now_ps})"
             )
-        if self.armed:
+        if self._ticket in sim._live:
             raise RuntimeError(f"timer {self.label!r} is already armed")
         ticket = next(sim._tickets)
-        self.next_time_ps = time_ps
-        self.tie_ticket = ticket
-        self.armed = True
-        sim._activate_source(self)
+        heapq.heappush(sim._queue, (time_ps, self.priority, ticket, self.fn))
+        sim._live.add(ticket)
+        self._ticket = ticket
+        self._when = time_ps
+        self._arms += 1
         if sim.monitor.enabled:
             sim.monitor.event_scheduled(ticket, time_ps, sim.now_ps)
 
     def cancel(self) -> None:
         """Disarm without firing.  Idempotent."""
-        if not self.armed:
+        ticket = self._ticket
+        if ticket not in self.sim._live:
             return
-        self.armed = False
-        self.sim._deactivate_source(self)
-        if self.sim.monitor.enabled:
-            self.sim.monitor.event_cancelled(self.tie_ticket)
-            self.sim.monitor.event_discarded(self.tie_ticket)
-
-    # -- kernel protocol ----------------------------------------------
-    def drain(self, limit_key, until_ps, budget) -> int:
-        """Fire the armed slot once.  The kernel guaranteed we are due."""
-        sim = self.sim
-        when = self.next_time_ps
-        ticket = self.tie_ticket
-        # Free the slot *before* the callback so it can re-arm, exactly
-        # like a reference chain scheduling its successor from inside
-        # the fired callback.
-        self.armed = False
-        sim._deactivate_source(self)
-        monitor = sim.monitor
-        if monitor.enabled:
-            monitor.event_fired(ticket, when, sim.now_ps)
-        sim.now_ps = when
-        self.fired += 1
-        fn = self.fn
-        profiler = sim._profiler
-        if profiler is None:
-            fn()
-        else:
-            started = perf_counter()
-            fn()
-            profiler.record(fn, perf_counter() - started)
-        return 1
+        self._ticket = -1
+        self._cancels += 1
+        self.sim.cancel(Event(self._when, self.priority, ticket))
 
 
 class BatchSource:
@@ -228,7 +198,7 @@ class BatchSource:
         if times is not None:
             if start_ps is not None or period_ps is not None or count is not None:
                 raise ValueError("pass either times= or a periodic spec, not both")
-            normalized = [_as_time_ps(t) for t in times]
+            normalized = [_as_int_ps(t) for t in times]
             if not normalized:
                 raise ValueError("times must be non-empty")
             if any(b < a for a, b in zip(normalized, normalized[1:])):
@@ -248,8 +218,8 @@ class BatchSource:
             self._window_size = self._total
             self.label = label or "at-times"
         else:
-            start_ps = _as_time_ps(start_ps, "start_ps")
-            period_ps = _as_time_ps(period_ps, "period_ps")
+            start_ps = _as_int_ps(start_ps, "start_ps")
+            period_ps = _as_int_ps(period_ps, "period_ps")
             if period_ps < 1:
                 raise ValueError(f"period_ps must be >= 1, got {period_ps}")
             if count is None or count < 1:

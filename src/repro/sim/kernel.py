@@ -16,24 +16,28 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.check.monitor import NULL_MONITOR
 from repro.units import cycle_time_ps
 
 
-def _coerce_delay(value, what: str = "delay_ps"):
-    """Normalize a scheduling delay/timestamp to a built-in ``int``.
+def _as_int_ps(value, what: str = "time_ps") -> int:
+    """Normalize a picosecond delay or timestamp to a built-in ``int``.
 
-    Heap keys must stay homogeneous: a float ``delay_ps`` would produce
-    a float ``when`` that compares against int keys and then leaks into
+    The one integer-picosecond policy for every kernel entry point
+    (:meth:`Simulator.schedule`, :meth:`repro.sim.batch.ChainedTimer.arm`,
+    the :class:`repro.sim.batch.BatchSource` timestamps).  Heap keys
+    must stay homogeneous: a float ``delay_ps`` would produce a float
+    ``when`` that compares against int keys and then leaks into
     ``now_ps`` the moment the event fires, silently turning every
     downstream timestamp into a float.  Whole-valued floats (and any
     ``__index__``-able integer type, e.g. ``numpy.int64``) are accepted
     and converted; fractional values are rejected loudly.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
@@ -49,18 +53,22 @@ def _coerce_delay(value, what: str = "delay_ps"):
         ) from None
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Handle for a scheduled callback.
 
     The kernel hands one back from :meth:`Simulator.schedule`; holding on
-    to it allows cancellation.  Equality is identity-based on the ticket
-    number so duplicate (time, callback) pairs stay distinct.
+    to it allows cancellation.  The ticket is unique per scheduled
+    event, so duplicate (time, callback) pairs stay distinct.
     """
 
     time_ps: int
     priority: int
     ticket: int
+
+
+# ``Event(...)`` runs the generated Python-level ``__new__``; building
+# the tuple directly is what that ``__new__`` does, minus the frame.
+_new_event = tuple.__new__
 
 
 class ClockDomain:
@@ -132,9 +140,11 @@ class Simulator:
         self._profiler = None  # duck-typed: .record(callback, wall_seconds)
         #: Invariant monitor (null by default; see ``repro.check``).
         self.monitor = NULL_MONITOR
-        # Active batched event sources (see ``repro.sim.batch``).  The
-        # run loop merges them with the heap by (time, priority, tie
-        # ticket); an empty list keeps the classic path branch-cheap.
+        # Active ``BatchSource`` streams (see ``repro.sim.batch``).  The
+        # general run loop merges them with the heap by (time, priority,
+        # tie ticket); while the list is empty ``run`` takes the
+        # heap-only loop.  ``ChainedTimer``s never appear here: they
+        # are ordinary heap entries.
         self._batch_sources: List = []
         self._batch_scheduler = None
 
@@ -170,10 +180,10 @@ class Simulator:
         ``delay_ps`` must be a whole number of picoseconds: whole-valued
         floats and ``__index__``-able integers (e.g. ``numpy.int64``)
         are normalized to ``int`` at this boundary, fractional values
-        raise ``TypeError`` (see :func:`_coerce_delay`).
+        raise ``TypeError`` (see :func:`_as_int_ps`).
         """
         if type(delay_ps) is not int:
-            delay_ps = _coerce_delay(delay_ps)
+            delay_ps = _as_int_ps(delay_ps, "delay_ps")
         if delay_ps < 0:
             raise ValueError(f"cannot schedule in the past (delay {delay_ps})")
         ticket = next(self._tickets)
@@ -182,7 +192,7 @@ class Simulator:
         self._live.add(ticket)
         if self.monitor.enabled:
             self.monitor.event_scheduled(ticket, when, self.now_ps)
-        return Event(when, priority, ticket)
+        return _new_event(Event, (when, priority, ticket))
 
     def schedule_at(
         self,
@@ -254,9 +264,9 @@ class Simulator:
     def batch(self):
         """The :class:`repro.sim.batch.BatchScheduler` for this kernel.
 
-        Factory for batched event sources (chained timers, periodic
-        chunk streams) that drain through this same run loop — see
-        ``repro.sim.batch`` for the conformance rules.
+        Factory for chained timers (heap entries under the kernel's own
+        tickets) and batched chunk streams that drain through this same
+        run loop — see ``repro.sim.batch`` for the conformance rules.
         """
         if self._batch_scheduler is None:
             from repro.sim.batch import BatchScheduler
@@ -297,8 +307,60 @@ class Simulator:
         ``until_ps``, when ``max_events`` callbacks have run, or when a
         callback calls :meth:`stop`.  Returns the number of events
         processed during this call.
+
+        The common case — no profiler, monitor, event budget or batch
+        source — runs :meth:`_run_heap`, a tight heap-only loop.  The
+        general loop serves everything else, and takes over mid-run if
+        a callback activates a batch source.  Both pop the same
+        ``(time, priority, ticket)`` keys, so they fire the same events
+        in the same order.
         """
         self._stopped = False
+        if (max_events is None and self._profiler is None
+                and not self.monitor.enabled and not self._batch_sources):
+            processed = self._run_heap(until_ps)
+            if not self._batch_sources:
+                return processed
+            return processed + self._run_general(until_ps, None)
+        return self._run_general(until_ps, max_events)
+
+    def _run_heap(self, until_ps: Optional[int]) -> int:
+        """Heap-only loop; returns early if a batch source activates."""
+        queue = self._queue
+        sources = self._batch_sources
+        cancelled = self._cancelled
+        live_discard = self._live.discard
+        pop = heapq.heappop
+        limit = math.inf if until_ps is None else until_ps
+        processed = 0
+        try:
+            while queue:
+                if self._stopped or sources:
+                    return processed
+                entry = pop(queue)
+                when = entry[0]
+                if when > limit:
+                    # Put the head back: the next run() resumes from it.
+                    heapq.heappush(queue, entry)
+                    if self.now_ps < until_ps:
+                        self.now_ps = until_ps
+                    return processed
+                ticket = entry[2]
+                live_discard(ticket)
+                if ticket in cancelled:
+                    cancelled.discard(ticket)
+                    continue
+                self.now_ps = when
+                entry[3]()
+                processed += 1
+            if not sources and until_ps is not None and self.now_ps < until_ps:
+                self.now_ps = until_ps
+            return processed
+        finally:
+            self.events_processed += processed
+
+    def _run_general(self, until_ps: Optional[int], max_events: Optional[int]) -> int:
+        """The loop with profiler, monitor, budget and batch sources."""
         processed = 0
         profiler = self._profiler
         monitor = self.monitor
@@ -310,10 +372,8 @@ class Simulator:
                 break
             # Pick the next due dispatcher: the heap head or the
             # earliest batch source, ordered by (time, priority, tie
-            # ticket).  ChainedTimer carries a real kernel ticket, so
-            # its ties resolve exactly as the heap chain it replaces;
-            # BatchSource carries an infinite tie rank, so same-instant
-            # heap events always run first.
+            # ticket).  A BatchSource carries an infinite tie rank, so
+            # same-instant heap events always run first.
             source = None
             if self._batch_sources:
                 sources = self._batch_sources
