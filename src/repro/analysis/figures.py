@@ -32,6 +32,46 @@ FIGURE7_FREQUENCIES_MHZ = (100, 125, 150, 166, 175, 200)
 FIGURE8_UDP_SIZES = (18, 100, 200, 400, 800, 1200, 1472)
 
 
+def figure7_specs(
+    core_counts: Sequence[int] = FIGURE7_CORE_COUNTS,
+    frequencies_mhz: Sequence[float] = FIGURE7_FREQUENCIES_MHZ,
+    ordering: OrderingMode = OrderingMode.SOFTWARE,
+    warmup_s: float = _DEFAULT_WARMUP_S,
+    measure_s: float = _DEFAULT_MEASURE_S,
+) -> List[RunSpec]:
+    """Figure 7's grid points, cores-major; see :func:`figure7_scaling`."""
+    return [
+        RunSpec(
+            config=NicConfig(
+                cores=cores,
+                core_frequency_hz=mhz(frequency),
+                ordering_mode=ordering,
+            ),
+            workload=WorkloadSpec(udp_payload_bytes=1472),
+            warmup_s=warmup_s,
+            measure_s=measure_s,
+            label=f"fig7/{cores}c@{frequency:g}MHz",
+        )
+        for cores in core_counts for frequency in frequencies_mhz
+    ]
+
+
+def figure7_curves(
+    results: Sequence[object],
+    core_counts: Sequence[int] = FIGURE7_CORE_COUNTS,
+    frequencies_mhz: Sequence[float] = FIGURE7_FREQUENCIES_MHZ,
+) -> Dict[int, List[Tuple[float, float]]]:
+    """Assemble :func:`figure7_specs`' results into Figure 7's curves."""
+    points = [(cores, frequency)
+              for cores in core_counts for frequency in frequencies_mhz]
+    curves: Dict[int, List[Tuple[float, float]]] = {}
+    for (cores, frequency), result in zip(points, results):
+        curves.setdefault(cores, []).append(
+            (frequency, result.udp_throughput_gbps)
+        )
+    return curves
+
+
 def figure7_scaling(
     core_counts: Sequence[int] = FIGURE7_CORE_COUNTS,
     frequencies_mhz: Sequence[float] = FIGURE7_FREQUENCIES_MHZ,
@@ -47,29 +87,10 @@ def figure7_scaling(
     exactly Figure 7's setup.  Returns {cores: [(MHz, Gb/s), ...]}.
     The whole grid fans out through the experiment engine.
     """
-    points = [(cores, frequency)
-              for cores in core_counts for frequency in frequencies_mhz]
-    specs = [
-        RunSpec(
-            config=NicConfig(
-                cores=cores,
-                core_frequency_hz=mhz(frequency),
-                ordering_mode=ordering,
-            ),
-            workload=WorkloadSpec(udp_payload_bytes=1472),
-            warmup_s=warmup_s,
-            measure_s=measure_s,
-            label=f"fig7/{cores}c@{frequency:g}MHz",
-        )
-        for cores, frequency in points
-    ]
+    specs = figure7_specs(core_counts, frequencies_mhz, ordering,
+                          warmup_s, measure_s)
     results = run_specs(specs, jobs=jobs, cache_dir=cache_dir, label="figure7")
-    curves: Dict[int, List[Tuple[float, float]]] = {}
-    for (cores, frequency), result in zip(points, results):
-        curves.setdefault(cores, []).append(
-            (frequency, result.udp_throughput_gbps)
-        )
-    return curves
+    return figure7_curves(results, core_counts, frequencies_mhz)
 
 
 def figure7_ethernet_limit() -> float:
@@ -105,6 +126,51 @@ def single_core_line_rate_frequency(
     return None
 
 
+_LINE_RATE_CONFIGS = (
+    ("software_200mhz", SOFTWARE_200MHZ),
+    ("rmw_166mhz", RMW_166MHZ),
+)
+
+
+def figure8_specs(
+    udp_sizes: Sequence[int] = FIGURE8_UDP_SIZES,
+    warmup_s: float = _DEFAULT_WARMUP_S,
+    measure_s: float = _DEFAULT_MEASURE_S,
+) -> List[RunSpec]:
+    """Figure 8's points, size-major; see :func:`figure8_frame_sizes`."""
+    return [
+        RunSpec(
+            config=config,
+            workload=WorkloadSpec(udp_payload_bytes=payload),
+            warmup_s=warmup_s,
+            measure_s=measure_s,
+            label=f"fig8/{key}/{payload}B",
+        )
+        for payload in udp_sizes for key, config in _LINE_RATE_CONFIGS
+    ]
+
+
+def figure8_curves(
+    results: Sequence[object],
+    udp_sizes: Sequence[int] = FIGURE8_UDP_SIZES,
+) -> Dict[str, List[Tuple[int, float]]]:
+    """Assemble :func:`figure8_specs`' results into Figure 8's curves."""
+    timing = EthernetTiming()
+    curves: Dict[str, List[Tuple[int, float]]] = {
+        "ethernet_limit": [
+            (payload, to_gbps(timing.duplex_payload_limit_bps(payload)))
+            for payload in udp_sizes
+        ],
+        "software_200mhz": [],
+        "rmw_166mhz": [],
+    }
+    points = [(payload, key)
+              for payload in udp_sizes for key, _config in _LINE_RATE_CONFIGS]
+    for (payload, key), result in zip(points, results):
+        curves[key].append((payload, result.udp_throughput_gbps))
+    return curves
+
+
 def figure8_frame_sizes(
     udp_sizes: Sequence[int] = FIGURE8_UDP_SIZES,
     warmup_s: float = _DEFAULT_WARMUP_S,
@@ -114,36 +180,35 @@ def figure8_frame_sizes(
 ) -> Dict[str, List[Tuple[int, float]]]:
     """Full-duplex throughput vs UDP datagram size for both line-rate
     configurations, plus the Ethernet duplex limit curve."""
-    timing = EthernetTiming()
-    curves: Dict[str, List[Tuple[int, float]]] = {
-        "ethernet_limit": [],
-        "software_200mhz": [],
-        "rmw_166mhz": [],
-    }
-    named_configs = (
-        ("software_200mhz", SOFTWARE_200MHZ),
-        ("rmw_166mhz", RMW_166MHZ),
-    )
-    points = [(payload, key, config)
-              for payload in udp_sizes for key, config in named_configs]
-    specs = [
+    specs = figure8_specs(udp_sizes, warmup_s, measure_s)
+    results = run_specs(specs, jobs=jobs, cache_dir=cache_dir, label="figure8")
+    return figure8_curves(results, udp_sizes)
+
+
+def saturation_specs(
+    udp_payload_bytes: int = 100,
+    warmup_s: float = _DEFAULT_WARMUP_S,
+    measure_s: float = _DEFAULT_MEASURE_S,
+) -> List[RunSpec]:
+    """The two saturation points; see :func:`saturation_frame_rates`."""
+    return [
         RunSpec(
             config=config,
-            workload=WorkloadSpec(udp_payload_bytes=payload),
+            workload=WorkloadSpec(udp_payload_bytes=udp_payload_bytes),
             warmup_s=warmup_s,
             measure_s=measure_s,
-            label=f"fig8/{key}/{payload}B",
+            label=f"saturation/{key}",
         )
-        for payload, key, config in points
+        for key, config in _LINE_RATE_CONFIGS
     ]
-    results = run_specs(specs, jobs=jobs, cache_dir=cache_dir, label="figure8")
-    for payload in udp_sizes:
-        curves["ethernet_limit"].append(
-            (payload, to_gbps(timing.duplex_payload_limit_bps(payload)))
-        )
-    for (payload, key, _config), result in zip(points, results):
-        curves[key].append((payload, result.udp_throughput_gbps))
-    return curves
+
+
+def saturation_rates(results: Sequence[object]) -> Dict[str, float]:
+    """Assemble :func:`saturation_specs`' results into frame rates."""
+    return {
+        key: result.total_fps
+        for (key, _config), result in zip(_LINE_RATE_CONFIGS, results)
+    }
 
 
 def saturation_frame_rates(
@@ -155,22 +220,6 @@ def saturation_frame_rates(
 ) -> Dict[str, float]:
     """Peak total frame rates in the processing-bound regime (the
     ~2.2 M frames/s saturation Figure 8's discussion reports)."""
-    named_configs = (
-        ("software_200mhz", SOFTWARE_200MHZ),
-        ("rmw_166mhz", RMW_166MHZ),
-    )
-    specs = [
-        RunSpec(
-            config=config,
-            workload=WorkloadSpec(udp_payload_bytes=udp_payload_bytes),
-            warmup_s=warmup_s,
-            measure_s=measure_s,
-            label=f"saturation/{key}",
-        )
-        for key, config in named_configs
-    ]
+    specs = saturation_specs(udp_payload_bytes, warmup_s, measure_s)
     results = run_specs(specs, jobs=jobs, cache_dir=cache_dir, label="saturation")
-    return {
-        key: result.total_fps
-        for (key, _config), result in zip(named_configs, results)
-    }
+    return saturation_rates(results)

@@ -10,19 +10,21 @@ the programmatic equivalent of reading Section 6.  Used by
 from __future__ import annotations
 
 import time
-from typing import List
+from typing import List, Sequence
 
 from repro.analysis.cache_study import figure3_cache_study
 from repro.analysis.figures import (
+    figure7_curves,
     figure7_ethernet_limit,
-    figure7_scaling,
-    figure8_frame_sizes,
-    saturation_frame_rates,
+    figure7_specs,
+    figure8_curves,
+    figure8_specs,
+    saturation_rates,
+    saturation_specs,
 )
-from repro.analysis.report import format_table
+from repro.analysis.report import ascii_chart, format_table
 from repro.analysis.tables import (
     FUNCTION_LABELS,
-    _run,
     rmw_reductions,
     table1_ideal_profile,
     table2_ilp_limits,
@@ -31,8 +33,19 @@ from repro.analysis.tables import (
     table5_rmw_profiles,
     table6_cycles,
 )
+from repro.exp import RunSpec, WorkloadSpec, run_specs
 from repro.firmware.kernels import ordering_instruction_counts
 from repro.nic.config import RMW_166MHZ, SOFTWARE_200MHZ
+
+
+def _split(results: Sequence[object],
+           groups: Sequence[Sequence[RunSpec]]) -> List[List[object]]:
+    """Cut one engine call's results back into its spec groups."""
+    parts, start = [], 0
+    for group in groups:
+        parts.append(list(results[start:start + len(group)]))
+        start += len(group)
+    return parts
 
 
 def generate_full_report(fast: bool = False) -> str:
@@ -43,11 +56,29 @@ def generate_full_report(fast: bool = False) -> str:
     """
     warmup = 0.3e-3 if fast else 0.4e-3
     measure = 0.5e-3 if fast else 1.0e-3
+    grid = ((2, 6), (150, 200)) if fast else ((1, 2, 4, 6, 8), (100, 150, 166, 175, 200))
     started = time.time()
     sections: List[str] = []
 
-    software = _run(SOFTWARE_200MHZ, warmup_s=warmup, measure_s=measure)
-    rmw = _run(RMW_166MHZ, warmup_s=warmup, measure_s=measure)
+    # Every NIC simulation of the report goes through one engine call,
+    # so points shared between sections (the headline configurations
+    # recur in Figures 7 and 8) run once, and the engine's cache and
+    # worker pool cover all of them.
+    headline_specs = [
+        RunSpec(config=config, workload=WorkloadSpec(udp_payload_bytes=1472),
+                warmup_s=warmup, measure_s=measure, label=f"headline/{name}")
+        for name, config in (("software", SOFTWARE_200MHZ), ("rmw", RMW_166MHZ))
+    ]
+    groups = [
+        headline_specs,
+        figure7_specs(core_counts=grid[0], frequencies_mhz=grid[1],
+                      warmup_s=warmup, measure_s=measure),
+        figure8_specs(warmup_s=warmup, measure_s=measure),
+        saturation_specs(100, warmup_s=warmup, measure_s=measure),
+    ]
+    results = run_specs([spec for group in groups for spec in group],
+                        label="report")
+    (software, rmw), results7, results8, saturation = _split(results, groups)
 
     # -- headline ---------------------------------------------------------
     sections.append(format_table(
@@ -151,9 +182,7 @@ def generate_full_report(fast: bool = False) -> str:
     ))
 
     # -- Figures 7 and 8 ----------------------------------------------------
-    grid = ((2, 6), (150, 200)) if fast else ((1, 2, 4, 6, 8), (100, 150, 166, 175, 200))
-    figure7 = figure7_scaling(core_counts=grid[0], frequencies_mhz=grid[1],
-                              warmup_s=warmup, measure_s=measure)
+    figure7 = figure7_curves(results7, core_counts=grid[0], frequencies_mhz=grid[1])
     rows7 = []
     for cores, series in sorted(figure7.items()):
         rows7.append([cores] + [gbps for _f, gbps in series])
@@ -163,8 +192,6 @@ def generate_full_report(fast: bool = False) -> str:
         title=f"Figure 7: UDP Gb/s vs frequency (Ethernet duplex limit "
               f"{figure7_ethernet_limit():.2f} Gb/s)",
     ))
-    from repro.analysis.report import ascii_chart
-
     limit = figure7_ethernet_limit()
     chart_series = {
         f"{cores} cores": series for cores, series in sorted(figure7.items())
@@ -174,7 +201,7 @@ def generate_full_report(fast: bool = False) -> str:
         "Figure 7 (rendered)", chart_series, x_label="MHz", y_label="Gb/s"
     ))
 
-    figure8 = figure8_frame_sizes(warmup_s=warmup, measure_s=measure)
+    figure8 = figure8_curves(results8)
     rows8 = []
     for index, (payload, limit) in enumerate(figure8["ethernet_limit"]):
         rows8.append([
@@ -187,7 +214,7 @@ def generate_full_report(fast: bool = False) -> str:
         rows8,
         title="Figure 8: throughput vs datagram size",
     ))
-    rates = saturation_frame_rates(100, warmup_s=warmup, measure_s=measure)
+    rates = saturation_rates(saturation)
     sections.append(
         f"saturation frame rates: software {rates['software_200mhz'] / 1e6:.2f} M/s, "
         f"RMW {rates['rmw_166mhz'] / 1e6:.2f} M/s (paper: ~2.2 M/s both)"

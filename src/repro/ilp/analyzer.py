@@ -26,6 +26,10 @@ issue order
     instruction.  ``OUT_OF_ORDER`` — only the constraints above apply;
     scheduling is greedy earliest-fit in program order, which is optimal
     for this resource model.
+
+Earliest-fit is amortized: a cycle that runs out of issue slots, memory
+ports or branch slots stays full, so per-resource skip maps (union-find
+with path halving) jump past full cycles instead of testing each one.
 """
 
 from __future__ import annotations
@@ -84,41 +88,59 @@ TABLE2_CONFIGS: List[IlpConfig] = [
 ]
 
 
+def _skip(full: Dict[int, int], cycle: int) -> int:
+    """First cycle at or after ``cycle`` that is not in ``full``.
+
+    ``full`` maps each full cycle to a later candidate; the walk halves
+    the path it follows, so repeated queries stay near-constant time.
+    """
+    while cycle in full:
+        following = full[cycle]
+        if following in full:
+            following = full[cycle] = full[following]
+        cycle = following
+    return cycle
+
+
 class _CycleResources:
-    """Per-cycle issue-slot / memory-port / branch-slot bookkeeping."""
+    """Per-cycle issue-slot / memory-port / branch-slot bookkeeping.
 
-    def __init__(self, width: int, mem_ports: int, branch_slots: int) -> None:
+    A cycle never gets a resource back once it runs out, so each
+    resource keeps a skip map over its full cycles and :meth:`first_fit`
+    jumps straight past them.  Memory ports and branch slots are either
+    unlimited or one per cycle, so one use fills a limited cycle.
+    """
+
+    def __init__(self, width: int, one_mem_port: bool, one_branch_slot: bool) -> None:
         self.width = width
-        self.mem_ports = mem_ports
-        self.branch_slots = branch_slots
+        self.one_mem_port = one_mem_port
+        self.one_branch_slot = one_branch_slot
         self._slots: Dict[int, int] = {}
-        self._mem: Dict[int, int] = {}
-        self._branches: Dict[int, int] = {}
-        self._closed_after: Dict[int, int] = {}  # NOBP: cycle -> slot index cap
+        self._slot_full: Dict[int, int] = {}
+        self._mem_full: Dict[int, int] = {}
+        self._branch_full: Dict[int, int] = {}
 
-    def fits(self, cycle: int, is_mem: bool, is_control: bool) -> bool:
-        if self._slots.get(cycle, 0) >= self.width:
-            return False
-        if cycle in self._closed_after:
-            return False  # a no-BP control op already ended this cycle
-        if is_mem and self.mem_ports and self._mem.get(cycle, 0) >= self.mem_ports:
-            return False
-        if (
-            is_control
-            and self.branch_slots
-            and self._branches.get(cycle, 0) >= self.branch_slots
-        ):
-            return False
-        return True
+    def first_fit(self, earliest: int, is_mem: bool, is_control: bool) -> int:
+        """Earliest cycle at or after ``earliest`` with every needed resource."""
+        cycle = earliest
+        while True:
+            free = cycle = _skip(self._slot_full, cycle)
+            if is_mem:
+                cycle = _skip(self._mem_full, cycle)
+            if is_control:
+                cycle = _skip(self._branch_full, cycle)
+            if cycle == free:
+                return cycle
 
-    def take(self, cycle: int, is_mem: bool, is_control: bool, close: bool) -> None:
-        self._slots[cycle] = self._slots.get(cycle, 0) + 1
-        if is_mem:
-            self._mem[cycle] = self._mem.get(cycle, 0) + 1
-        if is_control:
-            self._branches[cycle] = self._branches.get(cycle, 0) + 1
-        if close:
-            self._closed_after[cycle] = self._slots[cycle]
+    def take(self, cycle: int, is_mem: bool, is_control: bool) -> None:
+        slots = self._slots.get(cycle, 0) + 1
+        self._slots[cycle] = slots
+        if slots >= self.width:
+            self._slot_full[cycle] = cycle + 1
+        if is_mem and self.one_mem_port:
+            self._mem_full[cycle] = cycle + 1
+        if is_control and self.one_branch_slot:
+            self._branch_full[cycle] = cycle + 1
 
 
 def analyze_trace(trace: Sequence[TraceEntry], config: IlpConfig) -> float:
@@ -126,16 +148,17 @@ def analyze_trace(trace: Sequence[TraceEntry], config: IlpConfig) -> float:
     if not trace:
         raise ValueError("cannot analyze an empty trace")
 
-    load_latency = 2 if config.pipeline is PipelineModel.STALLS else 1
-    mem_ports = 1 if config.pipeline is PipelineModel.STALLS else 0  # 0 = unlimited
-    if config.branch is BranchModel.PBP1:
-        branch_slots = 1
-    else:
-        branch_slots = 0  # unlimited; NOBP is handled via cycle closing
+    stalls = config.pipeline is PipelineModel.STALLS
+    load_latency = 2 if stalls else 1
     nobp = config.branch is BranchModel.NOBP
     in_order = config.issue_order is IssueOrder.IN_ORDER
 
-    resources = _CycleResources(config.width, mem_ports, branch_slots)
+    # NOBP needs no branch limit: the fetch barrier below ends the cycle.
+    resources = _CycleResources(
+        config.width,
+        one_mem_port=stalls,
+        one_branch_slot=config.branch is BranchModel.PBP1,
+    )
     ready_cycle: Dict[int, int] = {}         # register -> cycle its value is ready
     last_store_issue: Dict[int, int] = {}    # word address -> issue cycle
     last_issue_cycle = 0                     # youngest issued instruction's cycle
@@ -158,13 +181,8 @@ def analyze_trace(trace: Sequence[TraceEntry], config: IlpConfig) -> float:
 
         is_mem = entry.is_memory
         is_control = entry.is_control
-        cycle = earliest
-        while not resources.fits(cycle, is_mem, is_control):
-            cycle += 1
-            if in_order:
-                # Younger instructions may not bypass this one.
-                pass
-        resources.take(cycle, is_mem, is_control, close=nobp and is_control)
+        cycle = resources.first_fit(earliest, is_mem, is_control)
+        resources.take(cycle, is_mem, is_control)
 
         if entry.destination is not None and entry.destination != 0:
             latency = load_latency if entry.is_load else 1
@@ -172,10 +190,12 @@ def analyze_trace(trace: Sequence[TraceEntry], config: IlpConfig) -> float:
         if entry.is_store and entry.mem_address is not None:
             last_store_issue[entry.mem_address & ~3] = cycle
         if nobp and is_control:
-            # Without prediction a control op ends the issue cycle; in the
-            # realistic pipeline a *taken* one also kills the fetch slot
-            # past the delay slot (static not-taken fetch redirect).
-            penalty = 2 if (entry.taken and config.pipeline is PipelineModel.STALLS) else 1
+            # Without prediction a control op ends the issue cycle: every
+            # younger instruction issues at or after the barrier, so the
+            # op's own cycle takes nothing more.  In the realistic
+            # pipeline a *taken* one also kills the fetch slot past the
+            # delay slot (static not-taken fetch redirect).
+            penalty = 2 if (entry.taken and stalls) else 1
             control_barrier = max(control_barrier, cycle + penalty)
         if in_order:
             last_issue_cycle = max(last_issue_cycle, cycle)

@@ -1,6 +1,10 @@
 """ILP limit analyzer (Table 2's machinery)."""
 
+import itertools
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.ilp import (
     BranchModel,
@@ -45,6 +49,155 @@ OOO = IssueOrder.OUT_OF_ORDER
 PERFECT = PipelineModel.PERFECT
 STALLS = PipelineModel.STALLS
 PBP = BranchModel.PBP
+
+
+# ----------------------------------------------------------------------
+# Reference scheduler: first fit by testing one cycle at a time
+# ----------------------------------------------------------------------
+def _reference_ipc(trace, config):
+    """The analyzer's schedule, found the slow way.
+
+    Each instruction starts at its ready cycle and moves one cycle at a
+    time until the cycle has an issue slot, is not closed by a no-BP
+    control op, and has a memory port / branch slot when it needs one.
+    ``analyze_trace`` skips full cycles instead; it must agree exactly.
+    """
+    stalls = config.pipeline is STALLS
+    load_latency = 2 if stalls else 1
+    mem_ports = 1 if stalls else 0  # 0 = unlimited
+    branch_slots = 1 if config.branch is BranchModel.PBP1 else 0
+    nobp = config.branch is BranchModel.NOBP
+    in_order = config.issue_order is IO
+    slots, mem, branches, closed = {}, {}, {}, set()
+
+    def fits(cycle, is_mem, is_control):
+        if slots.get(cycle, 0) >= config.width or cycle in closed:
+            return False
+        if is_mem and mem_ports and mem.get(cycle, 0) >= mem_ports:
+            return False
+        if is_control and branch_slots and branches.get(cycle, 0) >= branch_slots:
+            return False
+        return True
+
+    ready, last_store, last_issue, barrier, max_cycle = {}, {}, 0, 0, 0
+    for entry in trace:
+        earliest = max([0] + [ready.get(reg, 0) for reg in entry.sources if reg])
+        if entry.is_load and entry.mem_address is not None:
+            word = entry.mem_address & ~3
+            if word in last_store:
+                earliest = max(earliest, last_store[word] + 1)
+        if nobp:
+            earliest = max(earliest, barrier)
+        if in_order:
+            earliest = max(earliest, last_issue)
+        is_mem, is_control = entry.is_memory, entry.is_control
+        cycle = earliest
+        while not fits(cycle, is_mem, is_control):
+            cycle += 1
+        slots[cycle] = slots.get(cycle, 0) + 1
+        if is_mem:
+            mem[cycle] = mem.get(cycle, 0) + 1
+        if is_control:
+            branches[cycle] = branches.get(cycle, 0) + 1
+            if nobp:
+                closed.add(cycle)
+        if entry.destination:
+            ready[entry.destination] = cycle + (load_latency if entry.is_load else 1)
+        if entry.is_store and entry.mem_address is not None:
+            last_store[entry.mem_address & ~3] = cycle
+        if nobp and is_control:
+            penalty = 2 if (entry.taken and stalls) else 1
+            barrier = max(barrier, cycle + penalty)
+        if in_order:
+            last_issue = max(last_issue, cycle)
+        max_cycle = max(max_cycle, cycle)
+    return len(trace) / (max_cycle + 1)
+
+
+#: Every issue order x width {1, 2, 3, 4, 8} x pipeline x branch model.
+_ALL_CONFIGS = [
+    IlpConfig(order, width, pipeline, branch)
+    for order, width, pipeline, branch in itertools.product(
+        IssueOrder, (1, 2, 3, 4, 8), PipelineModel, BranchModel
+    )
+]
+
+_REG = st.integers(0, 5)
+_ENTRY = st.builds(
+    lambda kind, dest, sources, addr, taken: _entry(
+        dest=dest if kind in ("alu", "load") else None,
+        sources=sources,
+        load=kind == "load",
+        store=kind == "store",
+        branch=kind == "branch",
+        jump=kind == "jump",
+        taken=taken if kind in ("branch", "jump") else False,
+        addr=addr if kind in ("load", "store") else None,
+    ),
+    kind=st.sampled_from(("alu", "alu", "load", "store", "branch", "jump")),
+    dest=st.one_of(st.none(), _REG),
+    sources=st.lists(_REG, max_size=2),
+    # A few words, addressed with non-zero low bits too, so stores and
+    # loads alias through the same word from different byte offsets.
+    addr=st.one_of(st.none(), st.integers(0, 23)),
+    taken=st.booleans(),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(trace=st.lists(_ENTRY, min_size=1, max_size=40))
+    def test_random_traces(self, trace):
+        for config in _ALL_CONFIGS:
+            assert analyze_trace(trace, config) == _reference_ipc(trace, config), config
+
+    @pytest.mark.parametrize("kernel", ["order_sw", "order_rmw"])
+    @pytest.mark.parametrize(
+        "iterations", [1, 2, pytest.param(4, marks=pytest.mark.slow)]
+    )
+    def test_captured_firmware_traces(self, kernel, iterations):
+        from repro.firmware.kernels import capture_trace
+
+        trace = capture_trace(kernel, iterations=iterations)
+        for config in TABLE2_CONFIGS:
+            assert analyze_trace(trace, config) == _reference_ipc(trace, config), config
+
+
+class TestSkipPaths:
+    """Out-of-order schedules worked out by hand, one per skip map."""
+
+    def test_memory_port_skip(self):
+        # OOO-2/stalls/pbp.  The one memory port puts the 4 independent
+        # loads in cycles 0, 1, 2, 3 (each skips the cycles whose port
+        # is taken), leaving one issue slot in each.  The 4 independent
+        # ALU ops are ready at cycle 0 and fill those slots, each
+        # skipping the cycles the previous ones filled: 8 ops in 4
+        # cycles, IPC 8 / 4 = 2.0.
+        trace = [_entry(dest=i + 1, load=True, addr=16 * i) for i in range(4)]
+        trace += [_entry(dest=i + 5) for i in range(4)]
+        assert analyze_trace(trace, IlpConfig(OOO, 2, STALLS, PBP)) == 2.0
+
+    def test_branch_slot_skip(self):
+        # OOO-2/perfect/pbp1.  One branch slot per cycle puts the 4
+        # independent branches in cycles 0-3; the 4 ALU ops take the
+        # second slot of each: IPC 8 / 4 = 2.0.
+        trace = [_entry(branch=True) for _ in range(4)]
+        trace += [_entry(dest=i + 1) for i in range(4)]
+        assert analyze_trace(trace, IlpConfig(OOO, 2, PERFECT, BranchModel.PBP1)) == 2.0
+
+    def test_nobp_closed_cycle(self):
+        # OOO-4/perfect/nobp.  The branch issues in cycle 0 and ends it:
+        # cycle 0 still has 3 free slots, but the 3 independent ALU ops
+        # after the branch must go past it, to cycle 1 (the not-taken
+        # penalty is one cycle).  4 ops in 2 cycles: IPC 2.0; with
+        # prediction all 4 share cycle 0 (IPC 4.0).
+        trace = [_entry(branch=True)] + [_entry(dest=i + 1) for i in range(3)]
+        assert analyze_trace(trace, IlpConfig(OOO, 4, PERFECT, BranchModel.NOBP)) == 2.0
+        assert analyze_trace(trace, IlpConfig(OOO, 4, PERFECT, PBP)) == 4.0
+        # Under stalls a taken branch also kills the next fetch cycle:
+        # the ALU ops go to cycle 2, so 4 ops take 3 cycles.
+        taken = [_entry(branch=True, taken=True)] + trace[1:]
+        assert analyze_trace(taken, IlpConfig(OOO, 4, STALLS, BranchModel.NOBP)) == 4 / 3
 
 
 class TestConfig:
